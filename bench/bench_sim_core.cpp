@@ -3,12 +3,14 @@
 // stack; this suite pins down the simulator's share of it — events/s through
 // the heap, sends/s through the channel/packet machinery, and timer
 // arm/cancel churn — so a regression in the event core is visible even when
-// protocol costs move.
+// protocol costs move.  The BM_Horizon rows time the timeout detectors'
+// skip-horizon query, the layer between the event core and the protocol.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "gmp/messages.hpp"
+#include "harness/cluster.hpp"
 #include "sim/world.hpp"
 
 using namespace gmpx;
@@ -276,3 +278,45 @@ static void BM_SimCore_PartitionHeal(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(healed), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimCore_PartitionHeal);
+
+/// One skip-horizon query (FailureDetector::next_possible_detection) on a
+/// warmed pooled n=9 cluster: reset twice through the pool, then run to
+/// tick 8100 — past the φ bootstrap, with the first-sighting gap rotated
+/// out of every sample ring, and halfway between two waves so no ping is
+/// in flight.  Arg 0: calm channels — every pair is steady, so the query
+/// walks all n² pairs and certifies "never".  Arg 1: a live loss axis
+/// suspends certification, so the first pair pins the next wave and the
+/// query stops there.
+static void horizon_query(benchmark::State& state, fd::DetectorKind kind) {
+  harness::ClusterOptions opts;
+  opts.n = 9;
+  opts.detector = kind;
+  harness::Cluster c{opts};
+  for (uint64_t seed = 2; seed < 4; ++seed) {
+    opts.seed = seed;
+    c.reset(opts);
+  }
+  c.start();
+  c.run_until(8100);
+  if (state.range(0) == 1) {
+    sim::ChannelFaults lossy;
+    lossy.loss_permille = 50;
+    c.world().set_channel_faults(lossy);
+  }
+  const Tick now = c.world().now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(c.detector().next_possible_detection(now));
+  }
+  state.counters["queries/s"] =
+      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+
+static void BM_Horizon_Phi_n9(benchmark::State& state) {
+  horizon_query(state, fd::DetectorKind::kPhi);
+}
+BENCHMARK(BM_Horizon_Phi_n9)->Arg(0)->Arg(1);
+
+static void BM_Horizon_Heartbeat_n9(benchmark::State& state) {
+  horizon_query(state, fd::DetectorKind::kHeartbeat);
+}
+BENCHMARK(BM_Horizon_Heartbeat_n9)->Arg(0)->Arg(1);

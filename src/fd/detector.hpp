@@ -10,10 +10,13 @@
 //     injects faulty_p(q) a bounded random delay after q really crashes.
 //     Deterministic, never false, and free of detector message traffic, so
 //     protocol complexity counts stay clean.
-//   * HeartbeatDetector — wraps every node in a fd::HeartbeatFd ping/timeout
-//     monitor (fd/heartbeat.hpp).  Detection is driven by real silence, so
-//     it may produce *false* suspicions under delay storms and partitions —
-//     exactly the phenomenon the protocol must (and does) tolerate.
+//   * TimeoutDetector<HeartbeatPolicy> — wraps every node in a
+//     fd::HeartbeatFd ping/timeout monitor (fd/heartbeat.hpp).  Detection
+//     is driven by real silence, so it may produce *false* suspicions under
+//     delay storms and partitions — exactly the phenomenon the protocol
+//     must (and does) tolerate.
+//   * TimeoutDetector<PhiPolicy> — the same upkeep and skip horizon over
+//     fd::PhiFd adaptive φ-accrual monitors (fd/phi.hpp).
 //
 // harness::Cluster owns one detector per deployment and gives it two
 // integration points: `wrap()` may decorate each node's Actor before it is
@@ -178,12 +181,72 @@ class OracleFd final : public FailureDetector {
   OracleOptions opts_;
 };
 
-/// The realistic detector: one fd::HeartbeatFd monitor per node.  See
-/// fd/heartbeat.hpp for tuning guidance (interval/timeout vs storm
-/// intensity).
+/// Heartbeat policy: a fixed per-pair silence threshold, and arrivals only
+/// refresh proof of life.
+struct HeartbeatPolicy {
+  using Options = HeartbeatOptions;
+  using Monitor = HeartbeatFd;
+
+  explicit HeartbeatPolicy(const Options& o) : timeout(o.timeout) {}
+
+  /// Per-query setup (nothing varies with the delay model).
+  void prepare(const sim::SimWorld&) {}
+  /// A refresh that may be dropped is not a guarantee: loss suspends
+  /// steadiness.  Reordering only widens the refresh lag.
+  static bool certifies(const sim::ChannelFaults& f) { return f.loss_permille == 0; }
+  /// The silence a scan suspects past, now and at any later tick.
+  Tick threshold(const Monitor&, ProcessId) const { return timeout; }
+  Tick bound(const Monitor&, ProcessId) const { return timeout; }
+  /// The largest threshold any pair can reach (sizes the settle window).
+  Tick cap() const { return timeout; }
+  static void take_arrival(Monitor& m, ProcessId q, Tick t) { m.mark_heard(q, t); }
+
+  Tick timeout;
+};
+
+/// φ-accrual policy: the threshold moves with each pair's fitted
+/// inter-arrival distribution, so steadiness is certified against a
+/// monotone lower bound, and replayed arrivals feed the sample ring.
+struct PhiPolicy {
+  using Options = PhiOptions;
+  using Monitor = PhiFd;
+
+  explicit PhiPolicy(const Options& o);
+
+  /// Per-query setup: the smallest gap a benign cadence sample can show
+  /// under the current delay model.
+  void prepare(const sim::SimWorld& w);
+  /// Stricter than the heartbeat gate: ANY live fault axis suspends
+  /// certification.  Loss breaks the refresh guarantee, and duplication /
+  /// reordering perturb the inter-arrival samples themselves — the fit's
+  /// future trajectory (and with it any silence bound) becomes unprovable.
+  static bool certifies(const sim::ChannelFaults& f) { return !f.any(); }
+  /// The pair's current fitted threshold.  A structurally severed pair may
+  /// be judged by it: replayed in-flight samples can only delay the scan
+  /// that suspects it, never conjure a suspicion.
+  Tick threshold(const Monitor& m, ProcessId q) const { return m.suspect_after(q); }
+  /// A lower bound on every value suspect_after(q) can take while benign
+  /// cadence samples keep arriving: min(smallest ring gap, benign gap) +
+  /// z·min_stddev.  Monotone under future samples — the property that
+  /// keeps a certified span certified as elided arrivals are replayed into
+  /// the ring.
+  Tick bound(const Monitor& m, ProcessId q) const;
+  Tick cap() const { return opts.max_timeout; }
+  static void take_arrival(Monitor& m, ProcessId q, Tick t) { m.record_arrival(q, t); }
+
+  Options opts;
+  Tick zmargin = 0;     ///< ceil(z(threshold) · min_stddev), fixed at construction
+  Tick benign_gap = 1;  ///< set by prepare()
+};
+
+/// The timeout detectors: one `Policy::Monitor` (fd::HeartbeatFd or
+/// fd::PhiFd) per node, driven by the simulator.  The policy supplies the
+/// only parts that differ — the per-pair silence threshold with its
+/// monotone lower bound, and how a replayed arrival is taken in; the
+/// upkeep and the skip horizon below are written once.
 ///
 /// Under the simulator the detector batches and short-circuits its own
-/// upkeep (the heartbeat fast path):
+/// upkeep:
 ///   * one environment-owned *wave* timer per interval ticks every live
 ///     monitor in registration order, replacing n per-node re-arming
 ///     timers;
@@ -192,21 +255,26 @@ class OracleFd final : public FailureDetector {
 ///     straight to the destination monitor, never building a Packet;
 ///   * monitors are recycled across reset()s (pooled cluster reuse);
 ///   * whole ping/settle spans collapse under the virtual-time
-///     fast-forward: next_possible_detection() walks every (monitor, peer)
-///     pair and reports the first wave tick at which a silence could cross
-///     the timeout, so the runtime can certify "no detection can fire
+///     fast-forward: next_possible_detection() walks the (monitor, peer)
+///     pairs and reports the first wave tick at which a silence could cross
+///     its threshold, so the runtime can certify "no detection can fire
 ///     before tick T" and elide every wave in between (on_fast_forward
 ///     then re-arms the cadence and refreshes the pairs the elided pings
 ///     would have refreshed).  The reasoning is per pair: a delay span
 ///     whose every watched pair still has a provable refresh in flight
 ///     keeps skipping; only pairs whose refresh chain the current delay
 ///     model can no longer outpace pin the horizon, and never past the
-///     next wave (whose pings decide their fate).  See tests/README.md
-///     "virtual time & skip horizons" for the exact divergence this is
-///     allowed to introduce.
-class HeartbeatDetector final : public FailureDetector {
+///     next wave (whose pings decide their fate).  No candidate fires
+///     before that wave, so the walk stops at the first pair that pins
+///     it.  See tests/README.md "virtual time & skip horizons" for the
+///     exact divergence this is allowed to introduce.
+template <typename Policy>
+class TimeoutDetector final : public FailureDetector {
  public:
-  explicit HeartbeatDetector(HeartbeatOptions opts) : opts_(opts) {}
+  using Options = typename Policy::Options;
+  using Monitor = typename Policy::Monitor;
+
+  explicit TimeoutDetector(Options opts) : opts_(opts), policy_(opts) {}
 
   void bind(Env env) override;
   void reset() override;
@@ -222,112 +290,73 @@ class HeartbeatDetector final : public FailureDetector {
 
   /// A silence that began just before the window opened — possibly
   /// refreshed by a packet delayed by `worst_delay` — must still cross the
-  /// timeout inside it, plus two ping periods and slack for the suspicion
-  /// traffic itself.
+  /// largest threshold inside it, plus two ping periods and slack for the
+  /// suspicion traffic itself.
   Tick settle_window(Tick worst_delay) const override {
-    return opts_.timeout + 2 * opts_.interval + worst_delay + 400;
+    return policy_.cap() + 2 * opts_.interval + worst_delay + 400;
   }
 
-  const HeartbeatOptions& options() const { return opts_; }
-
  private:
+  /// One node as the pair walks see it, sampled once per query.
+  struct Peer {
+    const gmp::GmpNode* node = nullptr;  ///< nullptr when unknown
+    bool live = false;                   ///< neither crashed nor quit
+    bool admitted = false;
+  };
+  /// Per-query steadiness invariants, indexed by the refresher's class:
+  /// [0] an admitted pinger, [1] an unadmitted joiner that only acks.
+  struct Gate {
+    bool certified = false;  ///< the fault axes allow any certification
+    Tick chain[2] = {0, 0};
+    Tick last_risky[2] = {0, 0};
+  };
+
   /// One batched monitor period: tick every live monitor, then re-arm while
   /// anyone is still alive (a fully dead deployment lets the queue drain).
   void wave();
   /// Fast-path delivery of a ping/ack to the destination's monitor.
   void on_background_packet(ProcessId from, ProcessId to, uint32_t kind);
+  /// Fill peers_ and the policy's per-query state; returns the gate for
+  /// scans judged at `wave0`.
+  Gate prepare(Tick wave0) const;
+  const Peer& peer(ProcessId id) const {
+    static const Peer kUnknown;
+    return id < peers_.size() ? peers_[id] : kUnknown;
+  }
   /// Would `q` keep refreshing monitor `mid`'s proof of life across an
   /// event-free span?  Admitted peers refresh by pinging the members of
   /// *their* view; unadmitted joiners only by acking `mid`'s pings.  A
   /// severed channel, a quit peer, or S1 isolation in either direction
-  /// breaks the stream.  This predicate must stay the exact complement of
-  /// the pairs next_possible_detection() treats as silence candidates —
-  /// the horizon and the fast-forward refresh reason from the same rule.
+  /// breaks the stream.  Purely structural: whether the stream outpaces
+  /// the threshold is steady()'s chain condition.  The horizon and the
+  /// fast-forward refresh reason from this same rule.
   bool refreshable(ProcessId q, ProcessId mid) const;
   /// A refreshable pair is *steady* when neither its current staleness nor
-  /// any future scan can cross the timeout before a guaranteed refresh
-  /// lands (one channel delay after a wave for an admitted pinger, a full
-  /// round trip for an unadmitted acker — plus the reordering slack when
-  /// that fault axis is live).  Two conditions: the refresh *chain* must
-  /// outpace the timeout under the current delay model (false in storms
-  /// hot enough to provoke false suspicions), and the *initial* window
-  /// until the first guaranteed refresh must stay under it.  Steady pairs
-  /// are exempt from the horizon and are refreshed by on_fast_forward;
-  /// everything else stays a candidate so the wave that would judge it in
-  /// a skip-free run really executes.  Any nonzero loss probability
-  /// disbands steadiness entirely: a refresh that may be dropped is not a
-  /// guarantee.  `seen` is the effective last-heard tick (grace
-  /// substituted), `wave0` the next wave.
-  bool steady(ProcessId q, ProcessId mid, Tick seen, Tick wave0) const;
+  /// any future scan can cross the policy's lower-bound threshold before a
+  /// guaranteed refresh lands (one channel delay after a wave for an
+  /// admitted pinger, a full round trip for an unadmitted acker — plus the
+  /// reordering slack when that fault axis is live).  Two conditions: the
+  /// refresh *chain* must outpace the bound under the current delay model
+  /// (false in storms hot enough to provoke false suspicions), and the
+  /// *initial* window until the first guaranteed refresh must stay under
+  /// it.  Steady pairs are exempt from the horizon and are refreshed by
+  /// on_fast_forward; everything else stays a candidate so the wave that
+  /// would judge it in a skip-free run really executes.  `seen` is the
+  /// effective last-heard tick (grace substituted).
+  bool steady(const Gate& g, const Monitor& m, ProcessId q, ProcessId mid, Tick seen) const;
 
-  HeartbeatOptions opts_;
-  std::vector<std::unique_ptr<HeartbeatFd>> monitors_;
-  std::vector<std::unique_ptr<HeartbeatFd>> monitor_pool_;  ///< recycled across runs
-  std::vector<HeartbeatFd*> monitor_by_id_;  ///< dense id -> monitor (borrowed)
-  std::vector<ProcessId> targets_;           ///< wave scratch: one sender's ping fan
+  Options opts_;
+  mutable Policy policy_;
+  std::vector<std::unique_ptr<Monitor>> monitors_;
+  std::vector<std::unique_ptr<Monitor>> monitor_pool_;  ///< recycled across runs
+  std::vector<Monitor*> monitor_by_id_;  ///< dense id -> monitor (borrowed)
+  std::vector<ProcessId> targets_;       ///< wave scratch: one sender's ping fan
+  mutable std::vector<Peer> peers_;      ///< dense id -> per-query node sample
   /// Tick of the next pending wave (kNeverTick once the deployment died
   /// and the cadence self-cancelled).  Horizon arithmetic aligns candidate
   /// detections to this cadence; on_fast_forward re-arms it phase-preserved
   /// when the pending wave event was elided.
   Tick next_wave_ = kNeverTick;
-};
-
-/// The adaptive detector: one fd::PhiFd monitor per node (see fd/phi.hpp
-/// for the φ model and tuning guidance).  Same simulator integration as
-/// HeartbeatDetector — batched wave, background fast path, pooled monitors
-/// — but the skip-horizon arithmetic must respect a per-pair *moving*
-/// threshold: new samples can shrink a pair's fitted silence threshold
-/// mid-span, so steadiness is certified against a conservative lower bound
-/// (z·min_stddev above the smallest gap the fit could converge to) rather
-/// than the current threshold, and any live loss/dup/reorder fault axis
-/// suspends certification outright (perturbed inter-arrival samples make
-/// the fit's future trajectory unprovable).
-class PhiAccrualDetector final : public FailureDetector {
- public:
-  explicit PhiAccrualDetector(PhiOptions opts);
-
-  void bind(Env env) override;
-  void reset() override;
-  Actor* wrap(gmp::GmpNode& inner) override;
-
-  std::pair<uint32_t, uint32_t> background_kinds() const override {
-    return {gmp::kind::kHeartbeat, gmp::kind::kHeartbeatAck};
-  }
-
-  Tick next_possible_detection(Tick now) const override;
-  void on_fast_forward(Tick from, Tick to) override;
-  void on_elided_background(ProcessId from, ProcessId to, uint32_t kind, Tick when) override;
-
-  /// Like HeartbeatDetector's window but sized by the adaptive cap: a
-  /// pending suspicion can hide behind a threshold as large as max_timeout.
-  Tick settle_window(Tick worst_delay) const override {
-    return opts_.max_timeout + 2 * opts_.interval + worst_delay + 400;
-  }
-
-  const PhiOptions& options() const { return opts_; }
-
- private:
-  void wave();
-  void on_background_packet(ProcessId from, ProcessId to, uint32_t kind);
-  /// Same structural predicate as HeartbeatDetector::refreshable.
-  bool refreshable(ProcessId q, ProcessId mid) const;
-  /// Conservative per-pair silence bound for horizon/steadiness reasoning:
-  /// a lower bound on every value the pair's fitted threshold can take
-  /// while benign cadence samples keep arriving.  min(current fit floor,
-  /// next benign gap) + z·min_stddev — monotone under future samples, so a
-  /// span certified against it stays certified as elided arrivals are
-  /// replayed into the ring.
-  Tick pair_bound(const PhiFd& m, ProcessId q) const;
-  /// Steadiness under the moving threshold; see HeartbeatDetector::steady.
-  bool steady(const PhiFd& m, ProcessId q, ProcessId mid, Tick seen, Tick wave0) const;
-
-  PhiOptions opts_;
-  Tick zmargin_ = 0;  ///< ceil(z(threshold) · min_stddev), fixed at construction
-  std::vector<std::unique_ptr<PhiFd>> monitors_;
-  std::vector<std::unique_ptr<PhiFd>> monitor_pool_;  ///< recycled across runs
-  std::vector<PhiFd*> monitor_by_id_;                 ///< dense id -> monitor (borrowed)
-  std::vector<ProcessId> targets_;                    ///< wave scratch
-  Tick next_wave_ = kNeverTick;                       ///< as in HeartbeatDetector
 };
 
 /// Build the standard detector for `kind` from the matching options.

@@ -21,7 +21,7 @@
 // Runtime-neutral: the monitor is written against Context/Actor, so it runs
 // unchanged over sim::SimWorld and net::TcpRuntime (see examples/tcp_group
 // and tests/net_test).  Constructed stand-alone it arms its own per-node
-// ping timer; under fd::HeartbeatDetector (the simulator harness) the
+// ping timer; under fd::TimeoutDetector (the simulator harness) the
 // timers are *batched* — one environment-owned wave timer ticks every
 // monitor per interval — and ping/ack frames ride the simulator's
 // slab-free background fast path (Context::send_background).
@@ -69,7 +69,7 @@ class HeartbeatFd final : public Actor {
  public:
   /// `self_arm` selects the drive mode: true (default) arms a per-node ping
   /// timer (runtime-neutral stand-alone use); false leaves pacing to an
-  /// external driver calling tick() — fd::HeartbeatDetector's batched wave.
+  /// external driver calling tick() — fd::TimeoutDetector's batched wave.
   HeartbeatFd(gmp::GmpNode* inner, HeartbeatOptions opts, bool self_arm = true)
       : inner_(inner), opts_(opts), self_arm_(self_arm) {}
 

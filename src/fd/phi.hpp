@@ -64,7 +64,7 @@
 // can never postpone real-crash detection unboundedly.
 //
 // Runtime-neutral like HeartbeatFd: stand-alone it arms its own per-node
-// ping timer; under fd::PhiAccrualDetector the pacing is the batched
+// ping timer; under fd::TimeoutDetector the pacing is the batched
 // environment wave and ping/ack frames ride the simulator's background
 // fast path.  Unadmitted joiners ack pings to stay audible, exactly as in
 // fd/heartbeat.hpp.
@@ -118,7 +118,7 @@ inline double phi_value(double elapsed, double mean, double stddev) {
 class PhiFd final : public Actor {
  public:
   /// `self_arm` as in HeartbeatFd: true arms a per-node ping timer, false
-  /// leaves pacing to an external driver (fd::PhiAccrualDetector's wave).
+  /// leaves pacing to an external driver (fd::TimeoutDetector's wave).
   PhiFd(gmp::GmpNode* inner, PhiOptions opts, bool self_arm = true)
       : inner_(inner), opts_(opts), self_arm_(self_arm) {
     z_ = phi_threshold_z(opts_.threshold);

@@ -369,7 +369,8 @@ struct DelayProxy::Impl {
       std::vector<pollfd> pfds;
       pfds.push_back({listen_fd, POLLIN, 0});
       pfds.push_back({wake_fds[0], POLLIN, 0});
-      size_t inbound_base = pfds.size();
+      const size_t inbound_base = pfds.size();
+      const size_t inbound_polled = inbound.size();
       for (Inbound& c : inbound) pfds.push_back({c.fd, POLLIN, 0});
       int fwd_slot = -1;
       if (fwd_fd >= 0) {
@@ -427,18 +428,16 @@ struct DelayProxy::Impl {
           if (fwd_fd >= 0 && (re & POLLOUT)) flush_fwd();
         }
       }
-      for (size_t i = 0; i < inbound.size();) {
-        pollfd& pf = pfds[inbound_base + i];
-        if (pf.fd != inbound[i].fd) {  // staleness guard after erase
-          ++i;
+      // Walk only the connections polled this round: accept_peers() may
+      // have appended more (polled next round).  pfds[inbound_base + k]
+      // always belongs to inbound[i] — an erase shifts the next polled
+      // connection down into slot i.
+      for (size_t k = 0, i = 0; k < inbound_polled; ++k) {
+        if ((pfds[inbound_base + k].revents & (POLLIN | POLLERR | POLLHUP)) &&
+            !read_inbound(inbound[i])) {
+          ::close(inbound[i].fd);
+          inbound.erase(inbound.begin() + static_cast<ptrdiff_t>(i));
           continue;
-        }
-        if (pf.revents & (POLLIN | POLLERR | POLLHUP)) {
-          if (!read_inbound(inbound[i])) {
-            ::close(inbound[i].fd);
-            inbound.erase(inbound.begin() + static_cast<ptrdiff_t>(i));
-            continue;
-          }
         }
         ++i;
       }

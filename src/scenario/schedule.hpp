@@ -62,7 +62,7 @@ struct ScheduleEvent {
   Tick at = 0;
   ProcessId target = kNilId;
   ProcessId observer = kNilId;
-  std::vector<ProcessId> group;
+  std::vector<ProcessId> group = {};
   Tick duration = 0;
   Tick min_delay = 0;
   Tick max_delay = 0;

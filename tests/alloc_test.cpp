@@ -98,3 +98,30 @@ TEST(AllocRegression, PhiWarmLoopStaysUnderCeiling) {
   EXPECT_LE(s.mean, 60u) << "phi warm loop mean allocations regressed";
   EXPECT_LE(s.max, 200u) << "phi warm loop worst-case allocations regressed";
 }
+
+TEST(AllocRegression, NothrowAndAlignedAllocationsAreCounted) {
+  // The counter replaces every operator new form; a form left to the
+  // default allocator would go uncounted (and be freed by the override's
+  // std::free, an alloc-dealloc mismatch under ASan).
+  uint64_t before = thread_alloc_count();
+  int* plain = new (std::nothrow) int(7);
+  ASSERT_NE(plain, nullptr);
+  EXPECT_EQ(thread_alloc_count() - before, 1u) << "nothrow new not counted";
+  delete plain;
+
+  struct alignas(64) Line {
+    char bytes[64];
+  };
+  before = thread_alloc_count();
+  Line* line = new Line{};
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(line) % 64, 0u);
+  EXPECT_EQ(thread_alloc_count() - before, 1u) << "aligned new not counted";
+  delete line;
+
+  before = thread_alloc_count();
+  Line* lines = new (std::nothrow) Line[3];
+  ASSERT_NE(lines, nullptr);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(lines) % 64, 0u);
+  EXPECT_EQ(thread_alloc_count() - before, 1u) << "aligned nothrow new[] not counted";
+  delete[] lines;
+}

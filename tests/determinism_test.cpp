@@ -178,6 +178,42 @@ TEST(Determinism, BurstMatchesSingleStepEveryProfileAndDetector) {
   }
 }
 
+TEST(Determinism, GoldenTimeoutDetectorTraceHashes) {
+  // Behaviour contract of the timeout detectors' skip horizon: a faster
+  // horizon must return the same value at every query, so every trace must
+  // stay bit-identical.  Fold the trace fingerprint of seeds 0:200 x all
+  // five profiles per (detector, n) cell and compare against folds captured
+  // from the reference implementation (the per-detector pair scans the
+  // shared TimeoutDetector core replaced).
+  struct Cell {
+    fd::DetectorKind detector;
+    size_t n;
+    uint64_t fold;
+  };
+  const Cell cells[] = {
+      {fd::DetectorKind::kHeartbeat, 5, 0x4926671027eecc9bull},
+      {fd::DetectorKind::kHeartbeat, 9, 0x9e2b34d34322e3aeull},
+      {fd::DetectorKind::kPhi, 5, 0xc021b2dfaa6d74feull},
+      {fd::DetectorKind::kPhi, 9, 0x5cd97ebb667a04c8ull},
+  };
+  for (const Cell& cell : cells) {
+    SweepOptions opts;
+    opts.seed_lo = 0;
+    opts.seed_hi = 200;
+    opts.detectors = {cell.detector};
+    opts.gen.n = cell.n;
+    opts.jobs = 4;
+    SweepResult r = run_sweep(opts);
+    ASSERT_EQ(r.run_log.size(), 1000u);
+    uint64_t fold = 14695981039346656037ull;  // FNV-1a over the per-run hashes
+    for (const SweepRun& run : r.run_log) {
+      fold ^= run.trace_hash;
+      fold *= 1099511628211ull;
+    }
+    EXPECT_EQ(fold, cell.fold) << fd::to_string(cell.detector) << " n=" << cell.n;
+  }
+}
+
 TEST(Determinism, DifferentSeedsDiverge) {
   // Sanity check that the fingerprint has discriminating power: across a
   // seed range at least one pair of traces must differ.

@@ -437,8 +437,8 @@ struct TestCadence {
   SimWorld* w;
   Tick period;
   Tick next = 0;
-  std::vector<Tick> fired;  ///< tick of every cadence beat that really ran
-  std::function<void()> on_beat;  ///< optional per-beat extra (a "detection")
+  std::vector<Tick> fired = {};  ///< tick of every cadence beat that really ran
+  std::function<void()> on_beat = {};  ///< optional per-beat extra (a "detection")
 
   void arm(Tick delay) {
     next = w->now() + delay;
