@@ -16,8 +16,13 @@
 //       ops_per_s    — aggregate client session ops served per second
 //       skip_ratio   — fast-forwarded / total simulated ticks: how close
 //                      to free the idle spans are (the mostly-idle claim)
-//       occupancy    — mean slot-pool occupancy over the plan horizon
-//       peak_resident— max concurrently-live deployments (slot pool size)
+//       occupancy    — mean residency over the plan horizon, as a fraction
+//                      of peak_resident
+//       peak_resident— max deployments inside their [create, retire)
+//                      window (the resident population, not the pool)
+//       slots        — slot-pool high-water mark: max concurrently
+//                      in-flight runs (a concluded group returns its slot
+//                      at once, so this stays far below peak_resident)
 //       failed       — groups with a dirty verdict (must be 0)
 //
 //   * BM_GroupMuxAB_Mux/N vs BM_GroupMuxAB_Serial/N — the A/B: the same
@@ -66,7 +71,7 @@ void run_scale(benchmark::State& state) {
   const mux::MuxOptions m = fleet(groups);
   uint64_t failures = 0, ops = 0, skipped = 0, sim_ticks = 0;
   double occupancy = 0.0;
-  size_t peak = 0;
+  size_t peak = 0, slots = 0;
   uint64_t seed = 0;
   for (auto _ : state) {
     const mux::MuxResult r = mux::run_mux(++seed, m);
@@ -76,6 +81,7 @@ void run_scale(benchmark::State& state) {
     sim_ticks += r.sim_ticks;
     occupancy = r.occupancy;
     peak = r.peak_resident;
+    slots = r.slots;
     benchmark::DoNotOptimize(r.trace_hash);
   }
   state.counters["groups_per_s"] = benchmark::Counter(
@@ -87,6 +93,7 @@ void run_scale(benchmark::State& state) {
       sim_ticks ? static_cast<double>(skipped) / static_cast<double>(sim_ticks) : 0.0);
   state.counters["occupancy"] = benchmark::Counter(occupancy);
   state.counters["peak_resident"] = benchmark::Counter(static_cast<double>(peak));
+  state.counters["slots"] = benchmark::Counter(static_cast<double>(slots));
   state.counters["failed"] = benchmark::Counter(static_cast<double>(failures));
 }
 

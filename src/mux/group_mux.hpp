@@ -7,18 +7,22 @@
 // packs thousands of them into a single process by treating each group as a
 // cheap cohort over a shared global timeline:
 //
-//   * Slot pool.  Retired deployments return their Cluster to a pool and
-//     the next create reset()s it (the PR 4 capacity-preserving contract),
-//     so steady-state group churn allocates almost nothing.  Peak pool size
-//     equals peak concurrent residency, never the total group count.
+//   * Slot pool.  A group holds a slot (a pooled Cluster plus its staged
+//     run and session host) only while its run is in flight.  Once the
+//     verdict is harvested the slot goes back on a LIFO free list and the
+//     next create reset()s that cache-hot Cluster (reset() is
+//     capacity-preserving), so group churn allocates almost nothing.  The
+//     pool's high-water mark (MuxResult::slots) is the peak number of runs
+//     in flight: one when every run concludes in its first turn, as it
+//     does at the default slice.
 //   * Cohort activation heap.  A binary heap of (global due tick, seq, gid)
 //     turns orders runnable groups by virtual time; each turn advances one
 //     group's StagedRun by a bounded event slice and re-queues it at
-//     create_at + its local clock.  Groups whose run has concluded go
-//     dormant: no heap entries, no event traffic, until their scheduled
-//     retirement frees the slot.  Idle spans *inside* a group are elided by
-//     the PR 5 skip engine, so 10k+ mostly-idle groups cost only their
-//     reconfig bursts.
+//     create_at + its local clock.  A concluded group stays resident until
+//     its retire tick but holds no slot and no heap entries; a group still
+//     running at its retire tick is force-finished there.  Idle spans
+//     *inside* a group are elided by the skip engine, so 10k+ mostly-idle
+//     groups cost only their reconfig bursts.
 //   * Group directory.  gid -> slot through the tiled array layout
 //     (common/tiled.hpp) — the same tiling that replaced the n > 512
 //     per-pair channel hashing — not per-id hashing.
@@ -116,7 +120,7 @@ struct MuxOptions {
 
 struct MuxResult {
   uint64_t groups = 0;          ///< deployments created (== plan size)
-  uint64_t retired = 0;         ///< slots returned to the pool
+  uint64_t retired = 0;         ///< groups past their retire tick (== groups)
   uint64_t failures = 0;        ///< groups whose verdict was not clean
   uint64_t quiesced = 0;        ///< groups that quiesced within budget
   Tick horizon = 0;             ///< global plan horizon (latest retire)
@@ -127,8 +131,11 @@ struct MuxResult {
   uint64_t skipped_events = 0;  ///< background events elided
   uint64_t aborted_joins = 0;
   uint64_t turns = 0;           ///< cohort-heap scheduling turns taken
-  size_t peak_resident = 0;     ///< max concurrently-resident groups
-  /// Mean fraction of the peak slot pool occupied over the plan horizon
+  size_t peak_resident = 0;     ///< max groups inside their [create, retire) window
+  /// Slot-pool high-water mark: max concurrently in-flight runs (a
+  /// concluded group gives its slot back at once).  Deterministic.
+  size_t slots = 0;
+  /// Mean fraction of peak_resident occupied over the plan horizon
   /// (deterministic, but reported via --stats alongside the wall-clock
   /// figures because it describes engine load, not run behaviour).
   double occupancy = 0.0;

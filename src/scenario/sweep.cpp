@@ -276,6 +276,7 @@ SweepResult run_sweep(const SweepOptions& opts) {
         run.groups = mres.groups;
         run.groups_failed = mres.failures;
         run.peak_resident = mres.peak_resident;
+        run.slots = mres.slots;
         run.occupancy = mres.occupancy;
         render_mux(run, mres, opts);
         if (ring) {

@@ -3,10 +3,11 @@
 // of (seed, options) — independent of turn slicing and of how slots are
 // recycled — and must preserve every single-group invariant:
 //
-//   * slot lifecycle: a retired slot's Cluster is reset() for the next
-//     group, and the pooled replay is byte-identical to a fresh-cluster
-//     replay of the same schedule (the PR 4 reset contract, extended to
-//     retire-then-create churn);
+//   * slot lifecycle: a group gives its slot back the moment its run
+//     concludes, the slot's Cluster is reset() for the next group, and the
+//     pooled replay is byte-identical to a fresh-cluster replay of the same
+//     schedule (the cluster reset contract, extended to conclude-then-create
+//     churn);
 //   * slicing: advancing runs in small interleaved slices changes nothing
 //     (the run loops are resumable — the event sequence never depends on
 //     where the pauses fall);
@@ -106,7 +107,7 @@ TEST(Mux, PooledRetireThenCreateMatchesFreshClusters) {
   EXPECT_EQ(res.failures, 0u) << res.first_failure;
   EXPECT_EQ(res.retired, m.groups);
   ASSERT_EQ(seen.size(), m.groups);
-  ASSERT_LT(res.peak_resident, m.groups)
+  ASSERT_LT(res.slots, m.groups)
       << "plan did not force slot reuse; widen spawn_span or shrink lifetimes";
 
   scenario::ExecOptions exec;  // defaults match MuxOptions::exec defaults
@@ -115,6 +116,31 @@ TEST(Mux, PooledRetireThenCreateMatchesFreshClusters) {
     EXPECT_EQ(fresh.trace_hash, s.trace_hash) << "gid " << gid;
     EXPECT_EQ(fresh.ok(), s.ok) << "gid " << gid;
   }
+}
+
+TEST(Mux, ConcludedGroupsHoldNoSlot) {
+  // A concluded group stays resident until its retire tick but gives its
+  // slot back at once.  At the default slice every group concludes in its
+  // first turn, so one pooled slot serves the whole plan.
+  const MuxOptions coarse = churny(true);
+  const MuxResult a = run_mux(7, coarse);
+  EXPECT_EQ(a.failures, 0u) << a.first_failure;
+  EXPECT_EQ(a.turns, a.groups);
+  EXPECT_EQ(a.slots, 1u);
+  EXPECT_GT(a.peak_resident, 1u);
+
+  // Fine slicing keeps several runs in flight at once, each holding a slot;
+  // the pool still never outgrows the resident population, and which slot
+  // a group lands in changes nothing.
+  MuxOptions fine = churny(true);
+  fine.slice_events = 64;
+  const MuxResult b = run_mux(7, fine);
+  EXPECT_GT(b.slots, 1u);
+  EXPECT_LE(b.slots, b.peak_resident);
+  EXPECT_EQ(b.peak_resident, a.peak_resident);
+  EXPECT_EQ(b.trace_hash, a.trace_hash);
+  EXPECT_EQ(b.failures, a.failures);
+  EXPECT_EQ(b.ops_attempted, a.ops_attempted);
 }
 
 TEST(Mux, OracleAxisStaysSkipFree) {

@@ -565,8 +565,8 @@ int main(int argc, char** argv) {
       // Mux occupancy is deterministic, but it describes engine load (like
       // allocs=, it belongs to the telemetry line, not the report).
       if (run.groups) {
-        std::printf(" groups=%lu resident=%zu occ=%.3f",
-                    static_cast<unsigned long>(run.groups), run.peak_resident,
+        std::printf(" groups=%lu resident=%zu slots=%zu occ=%.3f",
+                    static_cast<unsigned long>(run.groups), run.peak_resident, run.slots,
                     run.occupancy);
       }
       std::printf("\n");
